@@ -11,14 +11,8 @@ pub fn make_channels<S: Scalar>(
     kind: ReprKind,
     cfg: &ReprConfig,
 ) -> Vec<Tensor> {
-    MatrixRepr::extract(matrix, kind, cfg)
-        .channels
-        .into_iter()
-        .map(|im| {
-            let (h, w) = (im.height(), im.width());
-            Tensor::from_vec(&[h, w], im.into_vec())
-        })
-        .collect()
+    make_channels_with_cancel(matrix, kind, cfg, &|| false)
+        .expect("a never-firing check never cancels")
 }
 
 /// [`make_channels`] with a cooperative-cancellation checkpoint

@@ -84,7 +84,7 @@ pub enum CnnRungOutcome {
     Absent,
 }
 
-/// Per-request options for [`SelectorService::select_guarded`].
+/// Per-member options for [`SelectorService::select_batch_guarded`].
 #[derive(Clone, Copy, Default)]
 pub struct SelectGuard<'a> {
     /// Skip the CNN rung entirely (a tripped circuit breaker demotes
@@ -95,19 +95,6 @@ pub struct SelectGuard<'a> {
     /// ladder rungs. Once it reports `true` the request is abandoned.
     pub cancel: Option<&'a dyn Fn() -> bool>,
     /// Injected CNN fault for deterministic failure testing.
-    pub inject: CnnFault,
-}
-
-/// Per-member options for [`SelectorService::select_batch_guarded`]:
-/// the single-path [`SelectGuard`] minus `skip_cnn` — a batch is only
-/// formed for requests headed to the CNN rung; demoted traffic runs
-/// the single path.
-#[derive(Clone, Copy, Default)]
-pub struct BatchGuard<'a> {
-    /// This member's cooperative-cancellation checkpoint.
-    pub cancel: Option<&'a dyn Fn() -> bool>,
-    /// Injected CNN fault for deterministic failure testing; a faulted
-    /// member is pulled out of the shared forward pass.
     pub inject: CnnFault,
 }
 
@@ -145,22 +132,6 @@ pub struct ServiceReport {
 }
 
 impl ServiceReport {
-    /// Field-wise sum — used to fold the counters of a retired model
-    /// generation into the live totals across hot reloads.
-    pub fn merged(&self, other: &ServiceReport) -> ServiceReport {
-        ServiceReport {
-            cnn_ok: self.cnn_ok + other.cnn_ok,
-            cnn_panic: self.cnn_panic + other.cnn_panic,
-            cnn_nonfinite: self.cnn_nonfinite + other.cnn_nonfinite,
-            cnn_low_confidence: self.cnn_low_confidence + other.cnn_low_confidence,
-            cnn_cancelled: self.cnn_cancelled + other.cnn_cancelled,
-            cnn_skipped: self.cnn_skipped + other.cnn_skipped,
-            tree_ok: self.tree_ok + other.tree_ok,
-            tree_panic: self.tree_panic + other.tree_panic,
-            default_used: self.default_used + other.default_used,
-        }
-    }
-
     /// Number of selections actually answered (one per completed
     /// request; cancelled and skipped rungs answer elsewhere or not at
     /// all).
@@ -297,183 +268,91 @@ impl SelectorService {
     }
 
     /// Picks a storage format for `matrix`, degrading down the ladder
-    /// as needed. Total: never panics, always returns a format.
+    /// as needed. Total: never panics, always returns a format. This is
+    /// [`SelectorService::select_batch_guarded`] on a batch of one.
     pub fn select<S: Scalar>(&self, matrix: &CooMatrix<S>) -> Selection {
-        self.select_guarded(matrix, &SelectGuard::default())
+        self.select_batch_guarded(&[matrix], &[SelectGuard::default()])[0]
             .selection
             .expect("selection without a cancel hook always answers")
     }
 
-    /// [`SelectorService::select`] under per-request controls: an
-    /// optional cancellation checkpoint (deadline enforcement), a
-    /// skip-CNN demotion flag (tripped circuit breaker), and an
-    /// injectable CNN fault (deterministic failure testing). Returns
-    /// the decision — `None` only when `cancel` fired — plus the CNN
-    /// rung outcome a breaker needs to classify the request.
-    pub fn select_guarded<S: Scalar>(
-        &self,
-        matrix: &CooMatrix<S>,
-        guard: &SelectGuard,
-    ) -> GuardedSelection {
-        let cnn_outcome = match &self.cnn {
-            None => CnnRungOutcome::Absent,
-            Some(_) if guard.skip_cnn => {
-                self.counters.cnn_skipped.inc();
-                CnnRungOutcome::Skipped
-            }
-            Some(cnn) => {
-                let run = catch_unwind(AssertUnwindSafe(|| match guard.inject {
-                    CnnFault::Panic => panic!("injected CNN fault"),
-                    CnnFault::NonFinite => Some(vec![f32::NAN; cnn.formats.len()]),
-                    CnnFault::None => {
-                        // Chaos drives the same rung seams the value-level
-                        // `CnnFault` hook uses: a panic action unwinds here
-                        // (caught just like `CnnFault::Panic`), and an err
-                        // action on the forward presents as a non-finite
-                        // answer (`CnnFault::NonFinite`).
-                        dnnspmv_chaos::failpoint!(dnnspmv_chaos::sites::SERVE_REPR_EXTRACT);
-                        #[cfg(feature = "chaos")]
-                        if dnnspmv_chaos::should_fail(dnnspmv_chaos::sites::SERVE_CNN_FORWARD) {
-                            return Some(vec![f32::NAN; cnn.formats.len()]);
-                        }
-                        match guard.cancel {
-                            Some(c) => cnn.predict_proba_with_cancel(matrix, c),
-                            None => Some(cnn.predict_proba(matrix)),
-                        }
-                    }
-                }));
-                match run {
-                    Err(_) => {
-                        self.counters.cnn_panic.inc();
-                        CnnRungOutcome::Panicked
-                    }
-                    Ok(None) => {
-                        self.counters.cnn_cancelled.inc();
-                        CnnRungOutcome::Cancelled
-                    }
-                    Ok(Some(probs)) => {
-                        let (outcome, selection) = self.classify_probs(cnn, &probs);
-                        if let Some(sel) = selection {
-                            return GuardedSelection {
-                                selection: Some(sel),
-                                cnn: outcome,
-                            };
-                        }
-                        outcome
-                    }
-                }
-            }
-        };
-        if cnn_outcome == CnnRungOutcome::Cancelled {
-            return GuardedSelection {
-                selection: None,
-                cnn: cnn_outcome,
-            };
-        }
-        self.fallback_rungs(matrix, cnn_outcome, guard.cancel)
-    }
-
-    /// Batched [`SelectorService::select_guarded`]: one CNN forward
-    /// pass (a single GEMM per layer) answers every member of
-    /// `matrices`, while each member keeps its own cancellation
-    /// checkpoint, injected fault, rung outcome and ladder counters —
-    /// the serving layer's micro-batcher drives cache-miss requests
-    /// through here. Per-member semantics:
+    /// Selects a format for every member of `matrices` through one CNN
+    /// forward pass (a single GEMM per layer), each member under its
+    /// own [`SelectGuard`]: an optional cancellation checkpoint
+    /// (deadline enforcement), a skip-CNN demotion flag (tripped
+    /// circuit breaker), and an injectable CNN fault (deterministic
+    /// failure testing). Returns, per member, the decision — `None`
+    /// only when that member's `cancel` fired — plus the CNN rung
+    /// outcome a breaker needs to classify it. Per-member semantics:
     ///
-    /// * **Injected faults** stay scoped: a member carrying a fault
-    ///   runs the single-request rung alone, so one poisoned request
-    ///   cannot sink its batch mates.
-    /// * **Extraction** runs per member under that member's `cancel`;
-    ///   a deadline expiring there cancels only that member.
+    /// * **Demoted members** (`skip_cnn`, or no CNN at all) go straight
+    ///   to the fallback rungs.
+    /// * **Extraction** runs per member under that member's `cancel`
+    ///   and behind its own unwind boundary: a deadline expiring there
+    ///   cancels only that member, and a panic (a pathological matrix,
+    ///   or an injected [`CnnFault::Panic`]) degrades only that member
+    ///   through its fallback rungs — never the worker carrying the
+    ///   batch.
     /// * **The shared forward pass** is abandoned only when *every*
     ///   remaining member's deadline has expired (checked between
     ///   layers) — as long as one member still wants the answer, the
     ///   batch keeps going.
     /// * **After the forward pass**, each member re-checks its own
-    ///   deadline, then classifies its own probability row through the
-    ///   same confidence ladder as the single path.
+    ///   deadline, then classifies its own probability row (all NaN
+    ///   under an injected [`CnnFault::NonFinite`]) through the
+    ///   confidence ladder.
     ///
-    /// Without a CNN every member simply runs the single-request
-    /// ladder. `guards` must be parallel to `matrices`.
+    /// `guards` must be parallel to `matrices`.
     pub fn select_batch_guarded<S: Scalar>(
         &self,
         matrices: &[&CooMatrix<S>],
-        guards: &[BatchGuard],
+        guards: &[SelectGuard],
     ) -> Vec<GuardedSelection> {
         assert_eq!(
             matrices.len(),
             guards.len(),
             "one guard per batch member required"
         );
-        let single = |i: usize| {
-            self.select_guarded(
-                matrices[i],
-                &SelectGuard {
-                    skip_cnn: false,
-                    cancel: guards[i].cancel,
-                    inject: guards[i].inject,
-                },
-            )
-        };
-        let Some(cnn) = &self.cnn else {
-            return (0..matrices.len()).map(single).collect();
-        };
         let mut out: Vec<Option<GuardedSelection>> = vec![None; matrices.len()];
-        // Members carrying an injected fault take the single path so
-        // the fault stays theirs alone.
-        let live: Vec<usize> = (0..matrices.len())
-            .filter(|&i| {
-                if guards[i].inject != CnnFault::None {
-                    out[i] = Some(single(i));
-                    false
-                } else {
-                    true
+        let mut batch: Vec<(usize, Vec<dnnspmv_nn::Tensor>)> = Vec::with_capacity(matrices.len());
+        for (i, (&matrix, guard)) in matrices.iter().zip(guards).enumerate() {
+            let cnn = match &self.cnn {
+                None => {
+                    out[i] =
+                        Some(self.fallback_rungs(matrix, CnnRungOutcome::Absent, guard.cancel));
+                    continue;
                 }
-            })
-            .collect();
-        // Per-member extraction under the member's own cancel, behind
-        // its own unwind boundary: a matrix pathological enough to
-        // panic the extractor costs that member its CNN answer (it
-        // degrades through its fallback rungs) — never the worker
-        // thread carrying the batch.
-        let mut batch: Vec<(usize, Vec<dnnspmv_nn::Tensor>)> = Vec::with_capacity(live.len());
-        for &i in &live {
+                Some(_) if guard.skip_cnn => {
+                    self.counters.cnn_skipped.inc();
+                    out[i] =
+                        Some(self.fallback_rungs(matrix, CnnRungOutcome::Skipped, guard.cancel));
+                    continue;
+                }
+                Some(cnn) => cnn,
+            };
             let channels = catch_unwind(AssertUnwindSafe(|| {
-                dnnspmv_chaos::failpoint!(dnnspmv_chaos::sites::SERVE_REPR_EXTRACT);
-                match guards[i].cancel {
-                    Some(c) => crate::samples::make_channels_with_cancel(
-                        matrices[i],
-                        cnn.config.repr,
-                        &cnn.config.repr_config,
-                        c,
-                    ),
-                    None => Some(crate::samples::make_channels(
-                        matrices[i],
-                        cnn.config.repr,
-                        &cnn.config.repr_config,
-                    )),
+                if guard.inject == CnnFault::Panic {
+                    panic!("injected CNN fault");
                 }
+                dnnspmv_chaos::failpoint!(dnnspmv_chaos::sites::SERVE_REPR_EXTRACT);
+                crate::samples::make_channels_with_cancel(
+                    matrix,
+                    cnn.config.repr,
+                    &cnn.config.repr_config,
+                    guard.cancel.unwrap_or(&|| false),
+                )
             }));
             match channels {
                 Ok(Some(ch)) => batch.push((i, ch)),
-                Ok(None) => {
-                    self.counters.cnn_cancelled.inc();
-                    out[i] = Some(GuardedSelection {
-                        selection: None,
-                        cnn: CnnRungOutcome::Cancelled,
-                    });
-                }
+                Ok(None) => out[i] = Some(self.cancelled()),
                 Err(_) => {
                     self.counters.cnn_panic.inc();
-                    out[i] = Some(self.fallback_rungs(
-                        matrices[i],
-                        CnnRungOutcome::Panicked,
-                        guards[i].cancel,
-                    ));
+                    out[i] =
+                        Some(self.fallback_rungs(matrix, CnnRungOutcome::Panicked, guard.cancel));
                 }
             }
         }
-        if !batch.is_empty() {
+        if let (Some(cnn), false) = (&self.cnn, batch.is_empty()) {
             let refs: Vec<&[dnnspmv_nn::Tensor]> =
                 batch.iter().map(|(_, ch)| ch.as_slice()).collect();
             // Members without a deadline keep this `false`, so such a
@@ -488,67 +367,47 @@ impl SelectorService {
                 if dnnspmv_chaos::should_fail(dnnspmv_chaos::sites::SERVE_CNN_FORWARD) {
                     // Err action ≡ a non-finite shared forward: every
                     // member classifies NaN probabilities and degrades,
-                    // the batched twin of `CnnFault::NonFinite`.
+                    // the batch-wide twin of `CnnFault::NonFinite`.
+                    let nan = vec![f32::NAN; cnn.formats.len()];
                     return Some(
                         refs.iter()
-                            .map(|_| {
-                                dnnspmv_nn::Tensor::from_vec(
-                                    &[cnn.formats.len()],
-                                    vec![f32::NAN; cnn.formats.len()],
-                                )
-                            })
+                            .map(|_| dnnspmv_nn::Tensor::from_vec(&[nan.len()], nan.clone()))
                             .collect(),
                     );
                 }
                 cnn.net.forward_batch_with_cancel(&refs, &all_expired)
             }));
-            match run {
-                Err(_) => {
+            for (k, &(i, _)) in batch.iter().enumerate() {
+                let guard = &guards[i];
+                out[i] = Some(match &run {
                     // One shared forward pass means one panic demotes
                     // every member — each degrades through its own
-                    // fallback rungs, exactly like a single-path panic.
-                    for (i, _) in &batch {
+                    // fallback rungs.
+                    Err(_) => {
                         self.counters.cnn_panic.inc();
-                        out[*i] = Some(self.fallback_rungs(
-                            matrices[*i],
-                            CnnRungOutcome::Panicked,
-                            guards[*i].cancel,
-                        ));
+                        self.fallback_rungs(matrices[i], CnnRungOutcome::Panicked, guard.cancel)
                     }
-                }
-                Ok(None) => {
-                    for (i, _) in &batch {
-                        self.counters.cnn_cancelled.inc();
-                        out[*i] = Some(GuardedSelection {
-                            selection: None,
-                            cnn: CnnRungOutcome::Cancelled,
-                        });
-                    }
-                }
-                Ok(Some(logits)) => {
-                    for ((i, _), l) in batch.iter().zip(&logits) {
-                        // A member whose deadline expired while the
-                        // batch was in flight is cancelled alone; its
-                        // mates still get their answers.
-                        if guards[*i].cancel.is_some_and(|c| c()) {
-                            self.counters.cnn_cancelled.inc();
-                            out[*i] = Some(GuardedSelection {
-                                selection: None,
-                                cnn: CnnRungOutcome::Cancelled,
-                            });
-                            continue;
-                        }
-                        let probs = dnnspmv_nn::loss::softmax(l.data());
-                        let (outcome, selection) = self.classify_probs(cnn, &probs);
-                        out[*i] = Some(match selection {
-                            Some(sel) => GuardedSelection {
+                    Ok(None) => self.cancelled(),
+                    // A member whose deadline expired while the batch
+                    // was in flight is cancelled alone; its mates still
+                    // get their answers.
+                    Ok(Some(_)) if guard.cancel.is_some_and(|c| c()) => self.cancelled(),
+                    Ok(Some(logits)) => {
+                        let probs = match guard.inject {
+                            CnnFault::NonFinite => vec![f32::NAN; cnn.formats.len()],
+                            _ => dnnspmv_nn::loss::softmax(logits[k].data()),
+                        };
+                        match self.classify_probs(cnn, &probs) {
+                            (outcome, Some(sel)) => GuardedSelection {
                                 selection: Some(sel),
                                 cnn: outcome,
                             },
-                            None => self.fallback_rungs(matrices[*i], outcome, guards[*i].cancel),
-                        });
+                            (outcome, None) => {
+                                self.fallback_rungs(matrices[i], outcome, guard.cancel)
+                            }
+                        }
                     }
-                }
+                });
             }
         }
         out.into_iter()
@@ -556,10 +415,18 @@ impl SelectorService {
             .collect()
     }
 
+    /// A member abandoned because its deadline expired at the CNN rung.
+    fn cancelled(&self) -> GuardedSelection {
+        self.counters.cnn_cancelled.inc();
+        GuardedSelection {
+            selection: None,
+            cnn: CnnRungOutcome::Cancelled,
+        }
+    }
+
     /// Classifies one request's CNN probabilities, counting the rung
     /// outcome: `Answered` (with the winning selection), `NonFinite`,
-    /// or `LowConfidence`. Shared by the single and batched paths so
-    /// the confidence ladder cannot drift between them.
+    /// or `LowConfidence`.
     fn classify_probs(
         &self,
         cnn: &FormatSelector,
@@ -589,11 +456,9 @@ impl SelectorService {
         )
     }
 
-    /// The ladder below the CNN rung: tree, then static default. Shared
-    /// by the single and batched guarded paths so a demoted request
-    /// degrades identically either way. A blown deadline answers
-    /// nothing — the caller has already timed out, so running the
-    /// fallbacks would only waste a worker.
+    /// The ladder below the CNN rung: tree, then static default. A
+    /// blown deadline answers nothing — the caller has already timed
+    /// out, so running the fallbacks would only waste a worker.
     fn fallback_rungs<S: Scalar>(
         &self,
         matrix: &CooMatrix<S>,
@@ -768,15 +633,25 @@ mod tests {
         assert_eq!(r.tree_ok, 1);
     }
 
+    /// One member's guarded select: a batch of one.
+    fn select_one(
+        svc: &SelectorService,
+        m: &CooMatrix<f32>,
+        guard: SelectGuard,
+    ) -> GuardedSelection {
+        svc.select_batch_guarded(&[m], &[guard])[0]
+    }
+
     #[test]
     fn guarded_select_classifies_injected_faults() {
         let (cnn, dt, data) = trained_pair();
         let svc = SelectorService::new(Some(cnn), Some(dt)).unwrap();
         let m = &data.matrices[0];
         // Injected panic: demoted to the tree, outcome recorded.
-        let g = svc.select_guarded(
+        let g = select_one(
+            &svc,
             m,
-            &SelectGuard {
+            SelectGuard {
                 inject: CnnFault::Panic,
                 ..Default::default()
             },
@@ -784,9 +659,10 @@ mod tests {
         assert_eq!(g.cnn, CnnRungOutcome::Panicked);
         assert_eq!(g.selection.unwrap().source, SelectionSource::Tree);
         // Injected non-finite probabilities.
-        let g = svc.select_guarded(
+        let g = select_one(
+            &svc,
             m,
-            &SelectGuard {
+            SelectGuard {
                 inject: CnnFault::NonFinite,
                 ..Default::default()
             },
@@ -794,9 +670,10 @@ mod tests {
         assert_eq!(g.cnn, CnnRungOutcome::NonFinite);
         assert_eq!(g.selection.unwrap().source, SelectionSource::Tree);
         // Breaker-style demotion: CNN skipped, tree answers.
-        let g = svc.select_guarded(
+        let g = select_one(
+            &svc,
             m,
-            &SelectGuard {
+            SelectGuard {
                 skip_cnn: true,
                 ..Default::default()
             },
@@ -804,9 +681,10 @@ mod tests {
         assert_eq!(g.cnn, CnnRungOutcome::Skipped);
         assert_eq!(g.selection.unwrap().source, SelectionSource::Tree);
         // Expired deadline: no answer at all.
-        let g = svc.select_guarded(
+        let g = select_one(
+            &svc,
             m,
-            &SelectGuard {
+            SelectGuard {
                 cancel: Some(&|| true),
                 ..Default::default()
             },
@@ -821,15 +699,16 @@ mod tests {
         assert_eq!(r.tree_ok, 3);
         assert_eq!(r.answered(), 3);
         // A live cancel hook that never fires matches plain select.
-        let g = svc.select_guarded(
+        let g = select_one(
+            &svc,
             m,
-            &SelectGuard {
+            SelectGuard {
                 cancel: Some(&|| false),
                 ..Default::default()
             },
         );
         assert_eq!(g.cnn, CnnRungOutcome::Answered);
-        assert_eq!(g.selection.unwrap().source, SelectionSource::Cnn);
+        assert_eq!(g.selection, Some(svc.select(m)));
     }
 
     #[test]
@@ -837,7 +716,7 @@ mod tests {
         let (cnn, dt, data) = trained_pair();
         let svc = SelectorService::new(Some(cnn), Some(dt)).unwrap();
         let ms: Vec<&CooMatrix<f32>> = data.matrices.iter().take(6).collect();
-        let guards = vec![BatchGuard::default(); ms.len()];
+        let guards = vec![SelectGuard::default(); ms.len()];
         let got = svc.select_batch_guarded(&ms, &guards);
         assert_eq!(got.len(), ms.len());
         for (m, g) in ms.iter().zip(&got) {
@@ -859,20 +738,24 @@ mod tests {
     fn batched_guarded_select_scopes_faults_and_cancellations_per_member() {
         let (cnn, dt, data) = trained_pair();
         let svc = SelectorService::new(Some(cnn), Some(dt)).unwrap();
-        let ms: Vec<&CooMatrix<f32>> = data.matrices.iter().take(4).collect();
+        let ms: Vec<&CooMatrix<f32>> = data.matrices.iter().take(5).collect();
         let expired = || true;
         let guards = [
-            BatchGuard::default(),
-            BatchGuard {
+            SelectGuard::default(),
+            SelectGuard {
                 inject: CnnFault::Panic,
                 ..Default::default()
             },
-            BatchGuard {
+            SelectGuard {
                 cancel: Some(&expired),
                 ..Default::default()
             },
-            BatchGuard {
+            SelectGuard {
                 inject: CnnFault::NonFinite,
+                ..Default::default()
+            },
+            SelectGuard {
+                skip_cnn: true,
                 ..Default::default()
             },
         ];
@@ -888,32 +771,69 @@ mod tests {
         // The expired member is cancelled without an answer.
         assert_eq!(got[2].cnn, CnnRungOutcome::Cancelled);
         assert!(got[2].selection.is_none());
+        // The demoted member skips the CNN and answers from the tree.
+        assert_eq!(got[4].cnn, CnnRungOutcome::Skipped);
+        assert_eq!(got[4].selection.unwrap().source, SelectionSource::Tree);
         let r = svc.report();
         assert_eq!(
-            (r.cnn_ok, r.cnn_panic, r.cnn_nonfinite, r.cnn_cancelled),
-            (1, 1, 1, 1)
+            (
+                r.cnn_ok,
+                r.cnn_panic,
+                r.cnn_nonfinite,
+                r.cnn_cancelled,
+                r.cnn_skipped
+            ),
+            (1, 1, 1, 1, 1)
         );
-        assert_eq!(r.tree_ok, 2);
-        assert_eq!(r.answered(), 3);
+        assert_eq!(r.tree_ok, 3);
+        assert_eq!(r.answered(), 4);
     }
 
+    /// Bit-exact oracle for the batch of one: folding `Layer::forward`
+    /// through each tower and the head, then softmax, must reproduce
+    /// `Cnn::forward`, `Cnn::forward_batch(&[x])` and the confidence
+    /// bits and format `select` serves, on every corpus matrix.
     #[test]
-    fn reports_merge_field_wise() {
-        let a = ServiceReport {
-            cnn_ok: 3,
-            tree_ok: 1,
-            ..Default::default()
-        };
-        let b = ServiceReport {
-            cnn_ok: 2,
-            default_used: 4,
-            ..Default::default()
-        };
-        let m = a.merged(&b);
-        assert_eq!(m.cnn_ok, 5);
-        assert_eq!(m.tree_ok, 1);
-        assert_eq!(m.default_used, 4);
-        assert_eq!(m.answered(), 10);
+    fn batch_of_one_is_bit_identical_to_the_per_layer_reference() {
+        use dnnspmv_nn::{Layer, Sequential, Tensor};
+        let (cnn, dt, data) = trained_pair();
+        let net = cnn.net.clone();
+        let (repr, repr_config) = (cnn.config.repr, cnn.config.repr_config);
+        let formats = cnn.formats.clone();
+        let svc = SelectorService::new(Some(cnn), Some(dt)).unwrap();
+        let fold =
+            |seq: &Sequential, x: Tensor| seq.layers.iter().fold(x, |x, l: &Layer| l.forward(&x));
+        let (h, w) = net.channel_shape;
+        for m in &data.matrices {
+            let ch = crate::samples::make_channels(m, repr, &repr_config);
+            let inputs: Vec<Tensor> = if net.towers.len() == ch.len() {
+                ch.iter().map(|c| c.clone().reshape(&[1, h, w])).collect()
+            } else {
+                vec![Tensor::stack_channels(&ch.iter().collect::<Vec<_>>())]
+            };
+            let feats: Vec<Tensor> = net
+                .towers
+                .iter()
+                .zip(inputs)
+                .map(|(t, x)| fold(t, x))
+                .collect();
+            let logits = fold(
+                &net.head,
+                Tensor::concat_flat(&feats.iter().collect::<Vec<_>>()),
+            );
+            assert_eq!(net.forward(&ch).data(), logits.data());
+            assert_eq!(net.forward_batch(&[&ch])[0].data(), logits.data());
+            let probs = dnnspmv_nn::loss::softmax(logits.data());
+            let (best, p) = probs
+                .iter()
+                .enumerate()
+                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
+                .unwrap();
+            let sel = svc.select(m);
+            assert_eq!(sel.source, SelectionSource::Cnn);
+            assert_eq!(sel.format, formats[best]);
+            assert_eq!(sel.confidence.map(f32::to_bits), Some(p.to_bits()));
+        }
     }
 
     #[test]

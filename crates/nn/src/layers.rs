@@ -1017,8 +1017,14 @@ impl Layer {
 
     /// Batched forward pass over same-shaped inputs. Convolution and
     /// dense layers fuse the batch into a single GEMM; the cheap
-    /// elementwise/pooling layers map over the samples.
+    /// elementwise/pooling layers map over the samples. A batch of one
+    /// runs [`Layer::forward`], so it is bit-identical to the
+    /// single-sample pass (a one-row dense GEMM would take the
+    /// inner-product regime instead of the matvec the single pass uses).
     pub fn forward_batch(&self, xs: &[Tensor]) -> Vec<Tensor> {
+        if xs.len() == 1 {
+            return vec![self.forward(&xs[0])];
+        }
         match self {
             Layer::Conv2d(l) => l.forward_batch(xs),
             Layer::Dense(l) => l.forward_batch(xs),
@@ -1660,6 +1666,20 @@ mod tests {
             for (x, got) in xs.iter().zip(&batched) {
                 assert_eq!(got, &layer.forward(x));
             }
+        }
+    }
+
+    #[test]
+    fn layer_forward_batch_of_one_is_the_single_sample_pass() {
+        let mut r = rng();
+        let conv = Layer::Conv2d(Conv2d::new(2, 4, 3, 1, &mut r));
+        let dense = Layer::Dense(Dense::new(24, 7, &mut r));
+        for (layer, x) in [
+            (conv, rand_tensor(&[2, 8, 8], &mut r)),
+            (dense, rand_tensor(&[24], &mut r)),
+        ] {
+            let got = layer.forward_batch(std::slice::from_ref(&x));
+            assert_eq!(got, vec![layer.forward(&x)], "bit-identical");
         }
     }
 

@@ -49,39 +49,20 @@ impl Sequential {
         cur
     }
 
-    /// Forward pass with a per-layer cooperative-cancellation
-    /// checkpoint: returns `None` as soon as `cancel` reports `true`,
-    /// so a caller enforcing a deadline can abandon the pass between
-    /// layers instead of wedging a worker on a huge convolution stack.
-    pub fn forward_with_cancel(&self, x: &Tensor, cancel: &dyn Fn() -> bool) -> Option<Tensor> {
-        let mut cur = x.clone();
-        for l in &self.layers {
-            if cancel() {
-                return None;
-            }
-            cur = l.forward(&cur);
-        }
-        Some(cur)
-    }
-
     /// Batched forward pass over same-shaped inputs: each GEMM-backed
     /// layer processes the whole batch in one product.
     pub fn forward_batch(&self, xs: Vec<Tensor>) -> Vec<Tensor> {
-        let (mut cur, li) = self
-            .forward_batch_prefix(xs, None)
-            .expect("uncancellable prefix always completes");
-        for l in &self.layers[li..] {
-            cur = l.forward_batch(&cur);
-        }
-        cur
+        self.forward_batch_with_cancel(xs, &|| false)
+            .expect("a never-firing check never cancels")
     }
 
-    /// [`Sequential::forward_batch`] with per-layer cancellation
-    /// checkpoints, mirroring [`Sequential::forward_with_cancel`] for a
-    /// whole batch: returns `None` as soon as `cancel` reports `true`.
-    /// The serving layer's micro-batcher passes an "every member's
-    /// deadline has expired" predicate here, so a batch is only
-    /// abandoned when no member still wants the answer.
+    /// [`Sequential::forward_batch`] with a cooperative-cancellation
+    /// checkpoint before every layer: returns `None` as soon as
+    /// `cancel` reports `true`, so a caller enforcing a deadline can
+    /// abandon the pass between layers instead of wedging a worker on
+    /// a huge convolution stack. The serving layer passes an "every
+    /// member's deadline has expired" predicate here, so a batch is
+    /// only abandoned when no member still wants the answer.
     pub fn forward_batch_with_cancel(
         &self,
         xs: Vec<Tensor>,
@@ -90,7 +71,7 @@ impl Sequential {
         if cancel() {
             return None;
         }
-        let (mut cur, li) = self.forward_batch_prefix(xs, Some(cancel))?;
+        let (mut cur, li) = self.forward_batch_prefix(xs, cancel)?;
         for l in &self.layers[li..] {
             if cancel() {
                 return None;
@@ -103,7 +84,7 @@ impl Sequential {
     /// Runs the packed convolutional prefix of a batched forward pass
     /// and returns the activations plus the index of the first layer
     /// still to run. `cancel` (checked between packed layers) aborts
-    /// with `None`; passing `None` never aborts.
+    /// with `None`.
     ///
     /// Image-shaped batches run the convolutional prefix packed as one
     /// `[c, n, h, w]` block (see `layers::pack_batch`): each
@@ -119,7 +100,7 @@ impl Sequential {
     fn forward_batch_prefix(
         &self,
         xs: Vec<Tensor>,
-        cancel: Option<&dyn Fn() -> bool>,
+        cancel: &dyn Fn() -> bool,
     ) -> Option<(Vec<Tensor>, usize)> {
         let mut cur = xs;
         let mut li = 0;
@@ -140,7 +121,7 @@ impl Sequential {
                 };
                 let mut cancelled = false;
                 while li < self.layers.len() {
-                    if cancel.is_some_and(|c| c()) {
+                    if cancel() {
                         cancelled = true;
                         break;
                     }
@@ -785,18 +766,12 @@ impl Cnn {
         }
     }
 
-    /// Forward pass returning raw logits.
+    /// Forward pass returning raw logits: the batch of one, which
+    /// [`Layer::forward_batch`] makes bit-identical to folding
+    /// [`Layer::forward`] through every tower and the head.
     pub fn forward(&self, channels: &[Tensor]) -> Tensor {
-        let inputs = self.tower_inputs(channels);
-        let feats: Vec<Tensor> = self
-            .towers
-            .iter()
-            .zip(&inputs)
-            .map(|(t, x)| t.forward(x))
-            .collect();
-        let refs: Vec<&Tensor> = feats.iter().collect();
-        let merged = Tensor::concat_flat(&refs);
-        self.head.forward(&merged)
+        self.forward_with_cancel(channels, &|| false)
+            .expect("a never-firing check never cancels")
     }
 
     /// [`Cnn::forward`] with per-layer cancellation checkpoints through
@@ -806,14 +781,7 @@ impl Cnn {
         channels: &[Tensor],
         cancel: &dyn Fn() -> bool,
     ) -> Option<Tensor> {
-        let inputs = self.tower_inputs(channels);
-        let mut feats = Vec::with_capacity(self.towers.len());
-        for (t, x) in self.towers.iter().zip(&inputs) {
-            feats.push(t.forward_with_cancel(x, cancel)?);
-        }
-        let refs: Vec<&Tensor> = feats.iter().collect();
-        let merged = Tensor::concat_flat(&refs);
-        self.head.forward_with_cancel(&merged, cancel)
+        self.forward_batch_with_cancel(&[channels], cancel)?.pop()
     }
 
     /// Batched forward pass over many samples' channel sets, returning
@@ -823,34 +791,8 @@ impl Cnn {
     /// [`crate::train::evaluate`] and the selector's batched
     /// prediction.
     pub fn forward_batch(&self, batch: &[&[Tensor]]) -> Vec<Tensor> {
-        if batch.is_empty() {
-            return Vec::new();
-        }
-        // Transpose the per-sample tower inputs into per-tower batches
-        // up front so each tensor moves (rather than clones) into its
-        // tower's batched forward pass.
-        let mut by_tower: Vec<Vec<Tensor>> = (0..self.towers.len())
-            .map(|_| Vec::with_capacity(batch.len()))
-            .collect();
-        for ch in batch {
-            for (ti, x) in self.tower_inputs(ch).into_iter().enumerate() {
-                by_tower[ti].push(x);
-            }
-        }
-        let mut feats: Vec<Vec<Tensor>> = vec![Vec::with_capacity(self.towers.len()); batch.len()];
-        for (tower, xs) in self.towers.iter().zip(by_tower) {
-            for (f, o) in feats.iter_mut().zip(tower.forward_batch(xs)) {
-                f.push(o);
-            }
-        }
-        let merged: Vec<Tensor> = feats
-            .iter()
-            .map(|fs| {
-                let refs: Vec<&Tensor> = fs.iter().collect();
-                Tensor::concat_flat(&refs)
-            })
-            .collect();
-        self.head.forward_batch(merged)
+        self.forward_batch_with_cancel(batch, &|| false)
+            .expect("a never-firing check never cancels")
     }
 
     /// [`Cnn::forward_batch`] with cancellation checkpoints between
@@ -866,6 +808,9 @@ impl Cnn {
         if batch.is_empty() {
             return Some(Vec::new());
         }
+        // Transpose the per-sample tower inputs into per-tower batches
+        // up front so each tensor moves (rather than clones) into its
+        // tower's batched forward pass.
         let mut by_tower: Vec<Vec<Tensor>> = (0..self.towers.len())
             .map(|_| Vec::with_capacity(batch.len()))
             .collect();

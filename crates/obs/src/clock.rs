@@ -1,4 +1,4 @@
-//! Injectable monotonic time, shared by spans and the serving layer.
+//! Injectable monotonic time, shared by the serving layer and its tests.
 //!
 //! PR 4 established the pattern: anything timing-sensitive takes a
 //! [`ClockFn`] instead of reading `Instant` directly, so tests drive a

@@ -11,9 +11,8 @@
 //!   sit inside an SpMV kernel or the serve hot path without moving
 //!   the p50 it is measuring. The crate has zero runtime dependencies.
 //! * **Deterministic under test.** Time is injected ([`ClockFn`], the
-//!   same pattern PR 4's server uses), so span durations and latency
-//!   buckets are exact in tests; sinks are pluggable so traces land in
-//!   a ring buffer a test can inspect.
+//!   same pattern the selector server uses), so latency buckets are
+//!   exact in tests.
 //! * **One source of truth.** Everything renders from one
 //!   [`MetricsSnapshot`]: the Prometheus text dump, the JSON dump, the
 //!   `ServerReport` view, and `bench_serve`'s phase stats all read the
@@ -31,9 +30,6 @@
 //! * [`Registry`] — names + label sets mapped to handles; snapshotting
 //!   and rendering ([`MetricsSnapshot::to_prometheus`],
 //!   [`MetricsSnapshot::to_json`]).
-//! * [`Tracer`] / [`SpanGuard`] — RAII span timing over an injectable
-//!   clock, reported to a [`SpanSink`] ([`RingSink`] for tests,
-//!   [`JsonLinesSink`] for production, [`NullSink`] to disable).
 //! * [`global`] — the process-wide registry the kernel and training
 //!   instrumentation records into (`dnnspmv metrics` dumps it).
 
@@ -41,10 +37,8 @@ pub mod clock;
 pub mod histogram;
 pub mod metrics;
 pub mod registry;
-pub mod span;
 
 pub use clock::{system_clock, ClockFn, ManualClock};
 pub use histogram::{bucket_index, bucket_low, HistogramSnapshot, LatencyHistogram, BUCKETS};
 pub use metrics::{Counter, Gauge, GaugeGuard};
 pub use registry::{global, MetricKey, MetricsSnapshot, Registry};
-pub use span::{JsonLinesSink, NullSink, RingSink, SpanGuard, SpanRecord, SpanSink, Tracer};

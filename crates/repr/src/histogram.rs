@@ -62,40 +62,25 @@ pub fn col_histogram_counts<S: Scalar>(matrix: &CooMatrix<S>, bands: usize, bins
 /// Row histogram normalised to `[0, 1]` by its maximum (the form fed to
 /// the CNN).
 pub fn row_histogram<S: Scalar>(matrix: &CooMatrix<S>, bands: usize, bins: usize) -> Image {
-    let mut im = row_histogram_counts(matrix, bands, bins);
-    im.normalize_max();
-    im
+    histogram_impl(matrix, bands, bins, false, None).expect("no cancellation requested")
 }
 
 /// Column histogram normalised to `[0, 1]` by its maximum.
 pub fn col_histogram<S: Scalar>(matrix: &CooMatrix<S>, bands: usize, bins: usize) -> Image {
-    let mut im = col_histogram_counts(matrix, bands, bins);
-    im.normalize_max();
-    im
+    histogram_impl(matrix, bands, bins, true, None).expect("no cancellation requested")
 }
 
-/// [`row_histogram`] with a cancellation checkpoint; `None` once
-/// `cancel` reports `true`.
-pub fn row_histogram_with_cancel<S: Scalar>(
+/// Normalised row (`by_cols == false`) or column histogram with an
+/// optional cancellation checkpoint; `None` once `cancel` reports
+/// `true`.
+pub(crate) fn histogram_impl<S: Scalar>(
     matrix: &CooMatrix<S>,
     bands: usize,
     bins: usize,
-    cancel: CancelCheck,
+    by_cols: bool,
+    cancel: Option<CancelCheck>,
 ) -> Option<Image> {
-    let mut im = histogram_counts_impl(matrix, bands, bins, false, Some(cancel))?;
-    im.normalize_max();
-    Some(im)
-}
-
-/// [`col_histogram`] with a cancellation checkpoint; `None` once
-/// `cancel` reports `true`.
-pub fn col_histogram_with_cancel<S: Scalar>(
-    matrix: &CooMatrix<S>,
-    bands: usize,
-    bins: usize,
-    cancel: CancelCheck,
-) -> Option<Image> {
-    let mut im = histogram_counts_impl(matrix, bands, bins, true, Some(cancel))?;
+    let mut im = histogram_counts_impl(matrix, bands, bins, by_cols, cancel)?;
     im.normalize_max();
     Some(im)
 }

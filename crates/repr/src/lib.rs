@@ -25,11 +25,9 @@ pub mod histogram;
 pub mod image;
 pub mod sample;
 
-pub use histogram::{
-    col_histogram, col_histogram_with_cancel, row_histogram, row_histogram_with_cancel,
-};
+pub use histogram::{col_histogram, row_histogram};
 pub use image::Image;
-pub use sample::{binary, binary_with_cancel, density, density_with_cancel};
+pub use sample::{binary, density};
 
 use dnnspmv_sparse::{CooMatrix, Scalar};
 use serde::{Deserialize, Serialize};
@@ -188,20 +186,7 @@ mod extract_timers {
 impl MatrixRepr {
     /// Normalises `matrix` into the `kind` representation.
     pub fn extract<S: Scalar>(matrix: &CooMatrix<S>, kind: ReprKind, cfg: &ReprConfig) -> Self {
-        #[cfg(feature = "obs")]
-        let _t = extract_timers::time(kind);
-        let channels = match kind {
-            ReprKind::Binary => vec![binary(matrix, cfg.image_size)],
-            ReprKind::BinaryDensity => vec![
-                binary(matrix, cfg.image_size),
-                density(matrix, cfg.image_size),
-            ],
-            ReprKind::Histogram => vec![
-                row_histogram(matrix, cfg.hist_rows, cfg.hist_bins),
-                col_histogram(matrix, cfg.hist_rows, cfg.hist_bins),
-            ],
-        };
-        Self { kind, channels }
+        Self::extract_impl(matrix, kind, cfg, None).expect("no cancellation requested")
     }
 
     /// Like [`MatrixRepr::extract`], but checks `cancel` every
@@ -214,17 +199,27 @@ impl MatrixRepr {
         cfg: &ReprConfig,
         cancel: CancelCheck,
     ) -> Option<Self> {
+        Self::extract_impl(matrix, kind, cfg, Some(cancel))
+    }
+
+    fn extract_impl<S: Scalar>(
+        matrix: &CooMatrix<S>,
+        kind: ReprKind,
+        cfg: &ReprConfig,
+        cancel: Option<CancelCheck>,
+    ) -> Option<Self> {
         #[cfg(feature = "obs")]
         let _t = extract_timers::time(kind);
+        let (size, rows, bins) = (cfg.image_size, cfg.hist_rows, cfg.hist_bins);
         let channels = match kind {
-            ReprKind::Binary => vec![binary_with_cancel(matrix, cfg.image_size, cancel)?],
+            ReprKind::Binary => vec![sample::binary_impl(matrix, size, cancel)?],
             ReprKind::BinaryDensity => vec![
-                binary_with_cancel(matrix, cfg.image_size, cancel)?,
-                density_with_cancel(matrix, cfg.image_size, cancel)?,
+                sample::binary_impl(matrix, size, cancel)?,
+                sample::density_impl(matrix, size, cancel)?,
             ],
             ReprKind::Histogram => vec![
-                row_histogram_with_cancel(matrix, cfg.hist_rows, cfg.hist_bins, cancel)?,
-                col_histogram_with_cancel(matrix, cfg.hist_rows, cfg.hist_bins, cancel)?,
+                histogram::histogram_impl(matrix, rows, bins, false, cancel)?,
+                histogram::histogram_impl(matrix, rows, bins, true, cancel)?,
             ],
         };
         Some(Self { kind, channels })

@@ -42,17 +42,9 @@ pub fn binary<S: Scalar>(matrix: &CooMatrix<S>, size: usize) -> Image {
     binary_impl(matrix, size, None).expect("no cancellation requested")
 }
 
-/// [`binary`] with a cancellation checkpoint; `None` once `cancel`
-/// reports `true`.
-pub fn binary_with_cancel<S: Scalar>(
-    matrix: &CooMatrix<S>,
-    size: usize,
-    cancel: CancelCheck,
-) -> Option<Image> {
-    binary_impl(matrix, size, Some(cancel))
-}
-
-fn binary_impl<S: Scalar>(
+/// [`binary`] with an optional cancellation checkpoint; `None` once
+/// `cancel` reports `true`.
+pub(crate) fn binary_impl<S: Scalar>(
     matrix: &CooMatrix<S>,
     size: usize,
     cancel: Option<CancelCheck>,
@@ -72,17 +64,9 @@ pub fn density<S: Scalar>(matrix: &CooMatrix<S>, size: usize) -> Image {
     density_impl(matrix, size, None).expect("no cancellation requested")
 }
 
-/// [`density`] with a cancellation checkpoint; `None` once `cancel`
-/// reports `true`.
-pub fn density_with_cancel<S: Scalar>(
-    matrix: &CooMatrix<S>,
-    size: usize,
-    cancel: CancelCheck,
-) -> Option<Image> {
-    density_impl(matrix, size, Some(cancel))
-}
-
-fn density_impl<S: Scalar>(
+/// [`density`] with an optional cancellation checkpoint; `None` once
+/// `cancel` reports `true`.
+pub(crate) fn density_impl<S: Scalar>(
     matrix: &CooMatrix<S>,
     size: usize,
     cancel: Option<CancelCheck>,

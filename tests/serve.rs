@@ -813,8 +813,8 @@ fn member_deadline_expiring_mid_batch_cancels_only_that_member() {
 }
 
 /// Tentpole stage B, low load: sequential traffic forms batches of one,
-/// which take the per-request path — batching must cost nothing when
-/// there is nothing to coalesce.
+/// counted as `single_served` — batching must cost nothing when there
+/// is nothing to coalesce.
 #[test]
 fn sequential_traffic_forms_batches_of_one_on_the_single_path() {
     let (_, _, data) = fixture();
@@ -843,6 +843,90 @@ fn sequential_traffic_forms_batches_of_one_on_the_single_path() {
     let snap = server.metrics_snapshot();
     let bs = snap.histogram("serve_batch_size", &[]).expect("recorded");
     assert_eq!((bs.count, bs.max), (5, 1), "every batch was a singleton");
+}
+
+/// A half-open breaker meeting a gathered batch: the pipeline gates
+/// every member, so exactly one member is the probe and its batch mates
+/// are demoted to the tree; the fault hook is consulted only for
+/// members that reach the CNN rung, and a successful probe closes the
+/// breaker for the next batch.
+#[test]
+fn half_open_breaker_probes_one_member_of_a_gathered_batch() {
+    let (_, _, data) = fixture();
+    let (clock_raw, clock) = fake_clock();
+    let panicking = Arc::new(AtomicBool::new(true));
+    let consulted = Arc::new(AtomicU64::new(0));
+    let (p_h, c_h) = (Arc::clone(&panicking), Arc::clone(&consulted));
+    let hooks = ServeHooks {
+        cnn_fault: Some(Arc::new(move |_seq| {
+            c_h.fetch_add(1, Ordering::SeqCst);
+            if p_h.load(Ordering::SeqCst) {
+                CnnFault::Panic
+            } else {
+                CnnFault::None
+            }
+        })),
+    };
+    // A partial batch waits out `max_batch_wait` on the frozen fake
+    // clock, so four submissions always depart as one full batch.
+    let cfg = ServerConfig {
+        workers: 1,
+        queue_capacity: 16,
+        max_batch: 4,
+        max_batch_wait: Duration::from_micros(100),
+        breaker: tight_breaker(),
+        ..ServerConfig::default()
+    };
+    let server = SelectorServer::with_parts(full_service(), cfg, hooks, clock);
+    let batch_of_four = |offset: usize| -> Vec<SelectionSource> {
+        let pending: Vec<_> = (0..4)
+            .map(|i| {
+                server
+                    .submit(Arc::new(data.matrices[offset + i].clone()), None)
+                    .unwrap()
+            })
+            .collect();
+        pending
+            .into_iter()
+            .map(|p| p.wait().unwrap().source)
+            .collect()
+    };
+
+    // Four panicking members: the tree answers each, and the third
+    // failure trips the breaker.
+    assert_eq!(batch_of_four(0), vec![SelectionSource::Tree; 4]);
+    let r = server.report();
+    assert_eq!(r.breaker.state, BreakerState::Open, "{r:?}");
+    assert_eq!(r.ladder.cnn_panic, 4);
+    assert_eq!(consulted.load(Ordering::SeqCst), 4);
+
+    // Fault clears, backoff elapses: one member probes, three demote.
+    panicking.store(false, Ordering::SeqCst);
+    clock_raw.fetch_add(10_000, Ordering::SeqCst);
+    let sources = batch_of_four(4);
+    let cnn = sources
+        .iter()
+        .filter(|&&s| s == SelectionSource::Cnn)
+        .count();
+    assert_eq!(cnn, 1, "exactly one member probes: {sources:?}");
+    let r = server.report();
+    assert_eq!(r.breaker_demoted, 3);
+    assert_eq!((r.probes_ok, r.probes_failed), (1, 0));
+    assert_eq!(r.breaker.state, BreakerState::Closed);
+    assert_eq!((r.breaker.to_half_open, r.breaker.to_closed), (1, 1));
+    assert_eq!(
+        consulted.load(Ordering::SeqCst),
+        5,
+        "demoted members never reach the hook"
+    );
+
+    // Closed again: the whole next batch runs the CNN.
+    assert_eq!(batch_of_four(8), vec![SelectionSource::Cnn; 4]);
+    let r = server.report();
+    assert_eq!(r.served, 12);
+    assert_eq!(r.batched_served, 12);
+    assert_eq!(r.accounted(), r.submitted);
+    assert!(r.path_accounted(), "{r:?}");
 }
 
 /// Satellite 4: parallel hammering with the cache on and batching
